@@ -27,8 +27,8 @@ cache.
   :class:`CollectorServer` (asyncio, multi-tenant, admission control +
   real backpressure, durable acks) and :class:`CollectorClient`
   (blocking, pipelined, reconnect with exact resend) over the wire
-  frames as protocol, with a :class:`StorageBackend` connector seam
-  for tenant state.
+  frames as protocol, with tenant state placed by
+  :class:`LocalFSBackend`.
 * :mod:`repro.service.scrub` — offline deep verification of a state
   directory: every retained frame's CRC and fingerprint, manifest
   accounting, and the checkpoint pair, all read-only.
@@ -54,7 +54,6 @@ from repro.service.net import (
     CollectorClient,
     CollectorServer,
     LocalFSBackend,
-    StorageBackend,
     TenantManager,
     ThreadedCollectorServer,
 )
@@ -82,6 +81,5 @@ __all__ = [
     "ThreadedCollectorServer",
     "CollectorClient",
     "TenantManager",
-    "StorageBackend",
     "LocalFSBackend",
 ]

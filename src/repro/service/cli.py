@@ -86,14 +86,10 @@ from repro.protocols.clusters import RRClusters
 from repro.protocols.independent import RRIndependent
 from repro.protocols.joint import RRJoint
 from repro.service.codec import ReportCodec
-from repro.service.health import storage_health
+from repro.service.health import storage_health, walk_state_dir
 from repro.service.journal import (
-    CHECKPOINT_JSON,
     DEFAULT_SEGMENT_BYTES,
-    LOG_NAME,
-    SHARDING_META,
     FrameWriter,
-    log_exists,
     read_frames,
 )
 from repro.service.pipeline import (
@@ -101,59 +97,16 @@ from repro.service.pipeline import (
     DEFAULT_COMMIT_RECORDS,
     CollectorService,
 )
-from repro.service.net.storage import SERVER_META, TENANT_META
 from repro.service.scrub import scrub_state_dir
 from repro.service.shard import ShardedCollectorService, load_sharding_meta
 
-__all__ = ["service_main", "SERVICE_COMMANDS", "load_design", "write_design"]
+__all__ = ["service_main", "SERVICE_COMMANDS"]
 
 #: Records per wire frame written by ``encode`` (one log entry each).
 DEFAULT_FRAME_RECORDS = 512
 
 #: ``--protocol`` choices of the encode subcommand.
 ENCODE_PROTOCOLS = ("independent", "joint", "clusters")
-
-
-# ----------------------------------------------------------------------
-# Deprecated re-exports (the design-file API now lives in repro.design)
-# ----------------------------------------------------------------------
-def load_design(path):
-    """Deprecated: use :func:`repro.design.load_design`.
-
-    Kept for pre-unification callers; returns ``(protocol, payload
-    dict)`` — the old contract — rather than the new
-    ``(protocol, DesignDocument)``.
-    """
-    from repro.protocols.base import _deprecated
-
-    _deprecated("repro.service.cli.load_design", "repro.design.load_design")
-    protocol, document = _load_design(path)
-    return protocol, document.payload()
-
-
-def write_design(path, protocol, p_or_extra=None, extra=None, *, p=None):
-    """Deprecated: use :func:`repro.design.write_design`.
-
-    The pre-unification signature took ``p`` as a separate argument
-    that could silently disagree with ``protocol.p``; it is now
-    derived from the protocol object and ignored here (with a
-    warning) whether passed positionally or as ``p=``.
-    """
-    from repro.protocols.base import _deprecated
-
-    if p is not None or extra is not None or isinstance(p_or_extra, (int, float)):
-        _deprecated(
-            "the p argument to write_design (now derived from the "
-            "protocol and ignored)",
-            "repro.design.write_design(path, protocol, extra)",
-        )
-        payload_extra = extra
-    else:
-        _deprecated(
-            "repro.service.cli.write_design", "repro.design.write_design"
-        )
-        payload_extra = p_or_extra
-    _write_design(path, protocol, payload_extra)
 
 
 def _build_protocol(args, schema, parser):
@@ -186,13 +139,14 @@ def _pinned_workers(args) -> "int | None":
     return int(meta["workers"]) if meta is not None else None
 
 
-def _service_from_design(args) -> CollectorService:
+def _service_from_design(args, *, metrics=None) -> CollectorService:
     protocol, _ = _load_design(args.design)
     workers = _pinned_workers(args)
     common = dict(
         batch_size=args.batch_size,
         checkpoint_every=getattr(args, "checkpoint_every", None),
         segment_bytes=getattr(args, "segment_bytes", DEFAULT_SEGMENT_BYTES),
+        metrics=metrics,
     )
     if workers is not None:
         return ShardedCollectorService.for_protocol(
@@ -202,17 +156,19 @@ def _service_from_design(args) -> CollectorService:
 
 
 def _state_dir_has_state(state_dir: Path) -> bool:
-    if (state_dir / CHECKPOINT_JSON).exists():
-        return True
-    if (state_dir / SHARDING_META).exists():
-        return True
-    # Network-collector roots: a whole server state root or one
-    # tenant's directory (stats/scrub recurse into the client streams).
-    if (state_dir / SERVER_META).exists() or (state_dir / TENANT_META).exists():
-        return True
-    # log_exists also recognizes a rotated/compacted log whose bare
-    # ingest.log segment has been retired (manifest present).
-    return log_exists(state_dir / LOG_NAME)
+    """Whether ``state_dir`` is a flat, sharded, server or tenant root.
+
+    An unreadable pin document raises the walker's typed refusal.
+    """
+    return state_dir.is_dir() and walk_state_dir(state_dir).kind != "empty"
+
+
+def _emit(text: str, output: "Path | None") -> None:
+    """Write a command's document to ``-o`` or print it."""
+    if output is not None:
+        output.write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
 
 
 def _parse_connect(value: str, parser) -> "tuple[str, int]":
@@ -670,11 +626,7 @@ def _query(argv) -> int:
         answer["cache"] = front.stats
     finally:
         service.close()
-    text = json.dumps(answer, indent=2, sort_keys=True)
-    if args.output is not None:
-        args.output.write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(json.dumps(answer, indent=2, sort_keys=True), args.output)
     return 0
 
 
@@ -703,11 +655,7 @@ def _query_connect(args, parser) -> int:
             }
     finally:
         client.close()
-    text = json.dumps(answer, indent=2, sort_keys=True)
-    if args.output is not None:
-        args.output.write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(json.dumps(answer, indent=2, sort_keys=True), args.output)
     return 0
 
 
@@ -775,23 +723,7 @@ def _stats(argv) -> int:
         )
         return 1
     if args.design is not None:
-        protocol, _ = _load_design(args.design)
-        workers = _pinned_workers(args)
-        if workers is not None:
-            service = ShardedCollectorService.for_protocol(
-                protocol,
-                args.state_dir,
-                workers=workers,
-                batch_size=args.batch_size,
-                metrics=MetricsRegistry(),
-            )
-        else:
-            service = CollectorService.for_protocol(
-                protocol,
-                args.state_dir,
-                batch_size=args.batch_size,
-                metrics=MetricsRegistry(),
-            )
+        service = _service_from_design(args, metrics=MetricsRegistry())
         try:
             document = service.health()
         finally:
@@ -808,10 +740,7 @@ def _stats(argv) -> int:
         text = render_prometheus(document["metrics"]).rstrip("\n")
     else:
         text = json.dumps(document, indent=2, sort_keys=True)
-    if args.output is not None:
-        args.output.write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(text, args.output)
     return 0
 
 
@@ -829,10 +758,7 @@ def _stats_connect(args, parser) -> int:
             text = json.dumps(document, indent=2, sort_keys=True)
     finally:
         client.close()
-    if args.output is not None:
-        args.output.write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(text, args.output)
     return 0
 
 
@@ -986,11 +912,7 @@ def _scrub(argv) -> int:
         )
         return 1
     report = scrub_state_dir(args.state_dir)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output is not None:
-        args.output.write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(json.dumps(report, indent=2, sort_keys=True), args.output)
     return 0 if report["ok"] else 1
 
 

@@ -16,14 +16,19 @@ The result is the same document shape as
 (``counts``, ``cache``, ``runtime``, ``metrics``): the journal layout,
 checkpoint coverage, and design fingerprints are all derivable from
 disk alone.
+
+:func:`walk_state_dir` is the one classifier of an offline tree —
+server root, tenant directory, sharded root, flat collector or empty —
+shared by :func:`storage_health`, ``scrub_state_dir`` and the CLI.
 """
 
 from __future__ import annotations
 
-import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Tuple
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, StorageFullError, TransientIOError
 from repro.obs.health import HEALTH_VERSION
 from repro.service.journal import (
     CHECKPOINT_JSON,
@@ -31,43 +36,110 @@ from repro.service.journal import (
     SegmentInfo,
     _load_manifest,
     _segment_path,
+    _read_sidecar,
     load_service_meta,
+    log_exists,
     scan_frames,
 )
 from repro.service.shard import load_sharding_meta, shard_dir
 
-__all__ = ["storage_health"]
+__all__ = ["storage_health", "StateNode", "walk_state_dir"]
 
 
-def _tenant_summary(tenant_dir: Path) -> dict:
-    """Offline roll-up of one tenant directory's client streams."""
-    from repro.service.net.storage import load_tenant_meta
+@dataclass(frozen=True)
+class StateNode:
+    """One directory of an offline state tree and what it holds.
 
-    pin = load_tenant_meta(tenant_dir) or {}
-    clients = {}
-    frames = 0
-    clients_root = Path(tenant_dir) / "clients"
-    names = (
-        sorted(e.name for e in clients_root.iterdir() if e.is_dir())
-        if clients_root.is_dir()
-        else []
+    ``kind`` is ``"server"`` (``server.json``), ``"tenant"``
+    (``tenant.json``), ``"sharded"`` (``sharding.json``), ``"flat"`` (a
+    collector journal or checkpoint), ``"empty"`` (none of these), or
+    ``"absent"`` (a shard directory that was never created). ``pin``
+    is the document that classified the directory; ``children`` are
+    its child streams in order — tenants of a server, client streams
+    of a tenant, ``NN``-keyed shards of a sharded root.
+    """
+
+    kind: str
+    name: str
+    path: Path
+    pin: "dict | None" = None
+    children: "Tuple[StateNode, ...]" = ()
+
+
+def walk_state_dir(state_dir) -> StateNode:
+    """Classify ``state_dir`` and every child stream below it.
+
+    The one reader of the offline directory tree: every pin document
+    goes through :func:`~repro.service.journal.read_json_document`, so
+    an unreadable one is a typed :class:`~repro.exceptions.ServiceError`
+    naming the file, and tenant / client listings go through
+    :class:`~repro.service.net.storage.LocalFSBackend`, so offline
+    tools see exactly the streams the server would open. Reads pins
+    only — no journal or checkpoint bytes.
+    """
+    state = Path(state_dir)
+    if not state.is_dir():
+        raise ServiceError(f"{state}: not a state directory")
+    # Imported here, not at module top: offline tools must not pull the
+    # network package in at import time.
+    from repro.service.net.storage import (
+        LocalFSBackend,
+        load_server_meta,
+        load_tenant_meta,
     )
-    for name in names:
-        document = storage_health(clients_root / name)
-        clients[name] = document
-        frames += int(document["journal"]["n_frames"])
+
+    pin = load_server_meta(state)
+    if pin is not None:
+        backend = LocalFSBackend(state)
+        tenants = []
+        for name in backend.list_tenants():
+            tenant_dir = backend.tenant_dir(name)
+            tenants.append(_tenant_node(tenant_dir, load_tenant_meta(tenant_dir)))
+        return StateNode("server", state.name, state, pin, tuple(tenants))
+    pin = load_tenant_meta(state)
+    if pin is not None:
+        return _tenant_node(state, pin)
+    pin = load_sharding_meta(state)
+    if pin is not None:
+        shards = []
+        for worker_id in range(pin["workers"]):
+            subdir = shard_dir(state, worker_id)
+            kind = "flat" if subdir.is_dir() else "absent"
+            shards.append(StateNode(kind, f"{worker_id:02d}", subdir))
+        return StateNode("sharded", state.name, state, pin, tuple(shards))
+    has_state = (state / CHECKPOINT_JSON).exists() or log_exists(
+        state / LOG_NAME
+    )
+    return StateNode("flat" if has_state else "empty", state.name, state)
+
+
+def _tenant_node(tenant_dir: Path, pin: "dict | None") -> StateNode:
+    from repro.service.net.storage import LocalFSBackend
+
+    clients = tuple(
+        walk_state_dir(path) for path in LocalFSBackend.client_dirs(tenant_dir)
+    )
+    return StateNode("tenant", tenant_dir.name, tenant_dir, pin, clients)
+
+
+def _tenant_summary(node: StateNode) -> dict:
+    """Offline roll-up of one tenant directory's client streams."""
+    pin = node.pin or {}
+    clients = {child.name: _node_health(child) for child in node.children}
     return {
         "protocol": pin.get("protocol"),
         "schema_fingerprint": pin.get("schema_fingerprint"),
         "design_fingerprint": pin.get("design_fingerprint"),
         "clients_open": 0,
         "sessions": 0,
-        "frames_applied": int(frames),
+        "frames_applied": int(
+            sum(doc["journal"]["n_frames"] for doc in clients.values())
+        ),
         "clients": clients,
     }
 
 
-def _server_storage_health(root: Path) -> dict:
+def _server_storage_health(node: StateNode) -> dict:
     """Offline inspection of a collector-server state root.
 
     The ``server`` section mirrors the live
@@ -77,16 +149,10 @@ def _server_storage_health(root: Path) -> dict:
     ``repro-anonymize stats`` renders a whole multi-tenant root from
     disk alone.
     """
-    from repro.service.net.storage import LocalFSBackend
-
-    backend = LocalFSBackend(root)
-    tenants = {
-        name: _tenant_summary(backend.tenant_dir(name))
-        for name in backend.list_tenants()
-    }
+    tenants = {child.name: _tenant_summary(child) for child in node.children}
     return {
         "version": HEALTH_VERSION,
-        "state_dir": str(root),
+        "state_dir": str(node.path),
         "server": {
             "version": 1,
             "connections": 0,
@@ -98,65 +164,55 @@ def _server_storage_health(root: Path) -> dict:
     }
 
 
-def _sharded_storage_health(state: Path, meta: dict) -> dict:
+def _sharded_storage_health(node: StateNode) -> dict:
     """Offline inspection of a sharded root: per-shard documents plus
     a merged journal/checkpoint roll-up, same shape as the live
     :meth:`ShardedCollectorService.health` minus live-only sections."""
-    workers = int(meta["workers"])
+    workers = int(node.pin["workers"])
     shards = {}
-    n_frames = 0
-    total_bytes = 0
-    checkpoints_present = 0
-    frames_at_checkpoint = 0
-    for worker_id in range(workers):
-        subdir = shard_dir(state, worker_id)
-        key = f"{worker_id:02d}"
-        if not subdir.is_dir():
-            shards[key] = {"status": "absent"}
-            continue
-        document = storage_health(subdir)
-        shards[key] = {"status": "offline", "health": document}
-        n_frames += int(document["journal"]["n_frames"])
-        total_bytes += int(document["journal"]["total_bytes"])
-        if document["checkpoint"]["present"]:
-            checkpoints_present += 1
-            frames_at_checkpoint += int(
-                document["checkpoint"]["frames_applied"] or 0
-            )
+    for shard in node.children:
+        if shard.kind == "absent":
+            shards[shard.name] = {"status": "absent"}
+        else:
+            shards[shard.name] = {
+                "status": "offline",
+                "health": _flat_storage_health(shard.path),
+            }
+    documents = [entry["health"] for entry in shards.values() if "health" in entry]
+    checkpointed = [doc for doc in documents if doc["checkpoint"]["present"]]
+
+    def total(field: str) -> int:
+        return int(sum(doc["journal"][field] for doc in documents))
+
     return {
         "version": HEALTH_VERSION,
-        "state_dir": str(state),
+        "state_dir": str(node.path),
         "sharding": {
             "workers": workers,
-            "router": str(meta.get("router", "")),
+            "router": str(node.pin.get("router", "")),
             "alive": [],
             "failed": [],
         },
         "shards": shards,
         "journal": {
-            "n_frames": int(n_frames),
+            "n_frames": total("n_frames"),
             "first_retained_frame": 0,
-            "n_segments": int(
-                sum(
-                    entry["health"]["journal"]["n_segments"]
-                    for entry in shards.values()
-                    if entry.get("health")
-                )
-            ),
-            "total_bytes": int(total_bytes),
-            "torn_tail_bytes": int(
-                sum(
-                    entry["health"]["journal"]["torn_tail_bytes"]
-                    for entry in shards.values()
-                    if entry.get("health")
-                )
-            ),
+            "n_segments": total("n_segments"),
+            "total_bytes": total("total_bytes"),
+            "torn_tail_bytes": total("torn_tail_bytes"),
             "segments": [],
         },
         "checkpoint": {
-            "present": checkpoints_present == workers,
+            "present": len(checkpointed) == workers,
             "frames_applied": (
-                frames_at_checkpoint if checkpoints_present else None
+                int(
+                    sum(
+                        doc["checkpoint"]["frames_applied"] or 0
+                        for doc in checkpointed
+                    )
+                )
+                if checkpointed
+                else None
             ),
         },
     }
@@ -170,22 +226,19 @@ def _checkpoint_section(state: Path) -> dict:
     ``frames_applied`` — an inspector describes what is on disk, it
     does not judge recoverability.
     """
-    sidecar_path = state / CHECKPOINT_JSON
-    if not sidecar_path.exists():
+    if not (state / CHECKPOINT_JSON).exists():
         return {"present": False, "frames_applied": None}
     try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        frames_applied = int(sidecar["frames_applied"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        frames_applied = _read_sidecar(state)["frames_applied"]
+    except (StorageFullError, TransientIOError):
+        raise  # the read failed; nothing was learned about the file
+    except ServiceError:
         frames_applied = None
     return {"present": True, "frames_applied": frames_applied}
 
 
 def _design_section(state: Path) -> dict:
-    try:
-        meta = load_service_meta(state)
-    except ServiceError:
-        meta = None
+    meta = load_service_meta(state)
     if meta is None:
         return {"schema_fingerprint": None, "matrix_fingerprints": None}
     fps = meta["matrix_fingerprints"]
@@ -203,24 +256,28 @@ def storage_health(state_dir) -> dict:
     scanning its clean prefix (a torn final entry is *counted out* but
     not truncated) — so for a cleanly closed directory this matches the
     ``journal`` section of the live service's ``health()`` byte for
-    byte.
+    byte. A server root, a tenant directory and a sharded root recurse
+    into their child streams. An unreadable pin document, manifest or
+    service meta is a typed :class:`~repro.exceptions.ServiceError`.
     """
-    state = Path(state_dir)
-    if not state.is_dir():
-        raise ServiceError(f"{state}: not a state directory")
-    from repro.service.net.storage import load_server_meta, load_tenant_meta
+    return _node_health(walk_state_dir(state_dir))
 
-    if load_server_meta(state) is not None:
-        return _server_storage_health(state)
-    if load_tenant_meta(state) is not None:
+
+def _node_health(node: StateNode) -> dict:
+    if node.kind == "server":
+        return _server_storage_health(node)
+    if node.kind == "tenant":
         return {
             "version": HEALTH_VERSION,
-            "state_dir": str(state),
-            "tenants": {state.name: _tenant_summary(state)},
+            "state_dir": str(node.path),
+            "tenants": {node.name: _tenant_summary(node)},
         }
-    meta = load_sharding_meta(state)
-    if meta is not None:
-        return _sharded_storage_health(state, meta)
+    if node.kind == "sharded":
+        return _sharded_storage_health(node)
+    return _flat_storage_health(node.path)
+
+
+def _flat_storage_health(state: Path) -> dict:
     base = state / LOG_NAME
     sealed, active_seq, active_base, quarantined = _load_manifest(base)
     active_path = _segment_path(base, active_seq)

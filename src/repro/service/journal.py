@@ -79,6 +79,11 @@ from repro.faults.plane import get_plane
 from repro.obs.registry import get_registry
 from repro.obs.tracing import trace
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None
+
 __all__ = [
     "LOG_NAME",
     "MANIFEST_SUFFIX",
@@ -99,6 +104,9 @@ __all__ = [
     "load_checkpoint",
     "save_service_meta",
     "load_service_meta",
+    "write_json_document",
+    "read_json_document",
+    "acquire_state_lock",
 ]
 
 LOG_NAME = "ingest.log"
@@ -243,6 +251,99 @@ def _replace_durably(tmp: Path, final: Path) -> None:
     # the directory sync.
     get_plane().replace(tmp, final)
     _fsync_dir(final.parent)
+
+
+def _write_synced(path: Path, data: bytes) -> None:
+    """Write ``data`` to a fresh ``path`` and fsync it (no rename yet)."""
+    plane = get_plane()
+    with open(path, "wb", buffering=0) as handle:
+        plane.write(handle, data)
+        plane.fsync(handle.fileno(), path=path)
+
+
+def _tmp_path(path: Path) -> Path:
+    """The ``<name>.tmp`` staging name of every durable replace here."""
+    return path.with_name(path.name + ".tmp")
+
+
+# ----------------------------------------------------------------------
+# Pinned JSON documents (the one format of every small state file)
+# ----------------------------------------------------------------------
+def write_json_document(path, payload: Mapping) -> None:
+    """Durably replace ``path`` with ``payload`` as indented JSON.
+
+    tmp write + fsync, rename, directory fsync. ``OSError`` is left to
+    the caller: the journal marks its writer broken inside its own
+    ``except OSError`` before mapping the error into the typed
+    taxonomy, and every other caller maps it with its own context.
+    """
+    path = Path(path)
+    tmp = _tmp_path(path)
+    _write_synced(tmp, json.dumps(payload, indent=2).encode("utf-8"))
+    _replace_durably(tmp, path)
+
+
+def read_json_document(
+    path, *, context: str, version: int, fields: "Mapping | None" = None
+) -> "dict | None":
+    """Read one pinned JSON document through the I/O plane.
+
+    ``None`` when the file is absent. A file that is not UTF-8, not
+    JSON, not a JSON object, carries another ``version``, or lacks one
+    of ``fields`` (``{key: type}``) raises
+    :class:`~repro.exceptions.ServiceError` naming the file; a failed
+    read raises the typed storage error. Either way the caller gets a
+    refusal, never a half-parsed document.
+    """
+    path = Path(path)
+    if not path.exists():
+        return None
+    try:
+        payload = json.loads(get_plane().read_bytes(path).decode("utf-8"))
+    except ValueError as exc:
+        # JSONDecodeError, or UnicodeDecodeError from bit rot.
+        raise ServiceError(f"{path}: corrupt {context}: {exc}") from None
+    except OSError as exc:
+        raise _storage_error(exc, f"{path}: {context} read failed") from exc
+    if not isinstance(payload, dict):
+        raise ServiceError(
+            f"{path}: corrupt {context}: expected a JSON object, got "
+            f"{type(payload).__name__}"
+        )
+    if payload.get("version") != version:
+        raise ServiceError(
+            f"{path}: unsupported {context} version "
+            f"{payload.get('version')!r}"
+        )
+    for key, kind in (fields or {}).items():
+        if not isinstance(payload.get(key), kind):
+            raise ServiceError(
+                f"{path}: corrupt {context}: {key!r} missing or not "
+                f"{kind.__name__}"
+            )
+    return payload
+
+
+def acquire_state_lock(state_dir, refusal: str):
+    """Take the exclusive advisory lock of a state directory.
+
+    Two live writers over one directory would interleave its journal
+    (or its routing) and silently double-count on the next recovery,
+    so a held lock is refused with ``ServiceError("<dir> <refusal>")``.
+    Returns the open handle — closing it drops the flock, and so does
+    the OS when a crashed process dies — or ``None`` where ``flock``
+    does not exist.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        return None
+    # An flock target, not frame data: nothing is ever written to it.
+    handle = open(Path(state_dir) / "state.lock", "wb")
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        handle.close()
+        raise ServiceError(f"{state_dir} {refusal}") from None
+    return handle
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +568,18 @@ def _manifest_path(base: Path) -> Path:
     return base.with_name(base.name + MANIFEST_SUFFIX)
 
 
+def _tmp_files(base: Path) -> "List[Path]":
+    """The staging names a crash mid-replace can strand beside ``base``."""
+    state = base.parent
+    return [
+        _tmp_path(_manifest_path(base)),
+        *(
+            _tmp_path(state / name)
+            for name in (CHECKPOINT_NPZ, CHECKPOINT_JSON, SERVICE_META)
+        ),
+    ]
+
+
 def log_exists(path) -> bool:
     """Whether a log base path holds any durable state.
 
@@ -493,19 +606,11 @@ def _load_manifest(
     validation are unchanged) but must never be read.
     """
     path = _manifest_path(base)
-    if not path.exists():
+    payload = read_json_document(
+        path, context="log manifest", version=_MANIFEST_VERSION
+    )
+    if payload is None:
         return [], 0, 0, {}
-    try:
-        payload = json.loads(get_plane().read_bytes(path).decode("utf-8"))
-    except ValueError as exc:
-        # JSONDecodeError or (bit rot) UnicodeDecodeError alike.
-        raise ServiceError(f"{path}: corrupt manifest: {exc}") from None
-    except OSError as exc:
-        raise _storage_error(exc, f"{path}: manifest read failed") from exc
-    if payload.get("version") != _MANIFEST_VERSION:
-        raise ServiceError(
-            f"unsupported log manifest version {payload.get('version')!r}"
-        )
     try:
         next_seq = int(payload["next_seq"])
         next_base = int(payload["next_base_frame"])
@@ -567,20 +672,15 @@ def _save_manifest(
         if segment.seq in quarantined:
             entry["quarantined"] = quarantined[segment.seq]
         segments.append(entry)
-    payload = {
-        "version": _MANIFEST_VERSION,
-        "next_seq": next_seq,
-        "next_base_frame": next_base,
-        "segments": segments,
-    }
-    plane = get_plane()
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb", buffering=0) as handle:
-        plane.write(
-            handle, json.dumps(payload, indent=2).encode("utf-8")
-        )
-        plane.fsync(handle.fileno(), path=tmp)
-    _replace_durably(tmp, path)
+    write_json_document(
+        path,
+        {
+            "version": _MANIFEST_VERSION,
+            "next_seq": next_seq,
+            "next_base_frame": next_base,
+            "segments": segments,
+        },
+    )
 
 
 class IngestionLog:
@@ -805,13 +905,7 @@ class IngestionLog:
         unrelated files in a shared directory are never touched.
         """
         plane = get_plane()
-        for name in (
-            _manifest_path(self._base).name + ".tmp",
-            CHECKPOINT_NPZ + ".tmp",
-            CHECKPOINT_JSON + ".tmp",
-            SERVICE_META + ".tmp",
-        ):
-            candidate = self._dir / name
+        for candidate in _tmp_files(self._base):
             if candidate.exists():
                 plane.unlink(candidate)
                 self.tmp_swept += 1
@@ -1244,17 +1338,11 @@ def save_checkpoint(
         "npz_crc32": npz_crc,
     }
     plane = get_plane()
-    npz_tmp = state / (CHECKPOINT_NPZ + ".tmp")
-    json_tmp = state / (CHECKPOINT_JSON + ".tmp")
+    npz_tmp = _tmp_path(state / CHECKPOINT_NPZ)
+    json_tmp = _tmp_path(state / CHECKPOINT_JSON)
     try:
-        with open(npz_tmp, "wb", buffering=0) as handle:
-            plane.write(handle, raw)
-            plane.fsync(handle.fileno(), path=npz_tmp)
-        with open(json_tmp, "wb", buffering=0) as handle:
-            plane.write(
-                handle, json.dumps(sidecar, indent=2).encode("utf-8")
-            )
-            plane.fsync(handle.fileno(), path=json_tmp)
+        _write_synced(npz_tmp, raw)
+        _write_synced(json_tmp, json.dumps(sidecar, indent=2).encode("utf-8"))
         # Both file bodies are already fsynced; rename the pair and
         # persist the directory entries with ONE fsync. A crash between
         # the two renames leaves a mixed pair, which the sidecar's npz
@@ -1270,6 +1358,22 @@ def save_checkpoint(
         raise _storage_error(exc, f"{state}: checkpoint write failed") from exc
 
 
+def _read_sidecar(state_dir) -> "dict | None":
+    """The checkpoint sidecar document alone (no npz read)."""
+    return read_json_document(
+        Path(state_dir) / CHECKPOINT_JSON,
+        context="checkpoint sidecar",
+        version=_CHECKPOINT_VERSION,
+        fields={
+            "attributes": list,
+            "frames_applied": int,
+            "schema_fingerprint": int,
+            "matrix_fingerprints": dict,
+            "npz_crc32": int,
+        },
+    )
+
+
 def load_checkpoint(state_dir) -> "Checkpoint | None":
     """Load and validate the checkpoint pair; ``None`` when absent."""
     state = Path(state_dir)
@@ -1282,22 +1386,9 @@ def load_checkpoint(state_dir) -> "Checkpoint | None":
             f"{state}: checkpoint sidecar present but {CHECKPOINT_NPZ} "
             "missing; checkpoint is unusable"
         )
-    plane = get_plane()
+    sidecar = _read_sidecar(state)
     try:
-        sidecar = json.loads(plane.read_bytes(json_path).decode("utf-8"))
-    except ValueError as exc:
-        # JSONDecodeError, or UnicodeDecodeError from bit rot.
-        raise ServiceError(f"{json_path}: corrupt sidecar: {exc}") from None
-    except OSError as exc:
-        raise _storage_error(
-            exc, f"{json_path}: checkpoint read failed"
-        ) from exc
-    if sidecar.get("version") != _CHECKPOINT_VERSION:
-        raise ServiceError(
-            f"unsupported checkpoint version {sidecar.get('version')!r}"
-        )
-    try:
-        raw = plane.read_bytes(npz_path)
+        raw = get_plane().read_bytes(npz_path)
     except OSError as exc:
         raise _storage_error(
             exc, f"{npz_path}: checkpoint read failed"
@@ -1315,9 +1406,9 @@ def load_checkpoint(state_dir) -> "Checkpoint | None":
         }
     return Checkpoint(
         counts=counts,
-        frames_applied=int(sidecar["frames_applied"]),
-        schema_fingerprint=int(sidecar["schema_fingerprint"]),
-        matrix_fingerprints=dict(sidecar["matrix_fingerprints"]),
+        frames_applied=sidecar["frames_applied"],
+        schema_fingerprint=sidecar["schema_fingerprint"],
+        matrix_fingerprints=sidecar["matrix_fingerprints"],
     )
 
 
@@ -1341,15 +1432,8 @@ def save_service_meta(state_dir, *, schema_fp: int, matrix_fps: Mapping) -> None
         "schema_fingerprint": int(schema_fp),
         "matrix_fingerprints": dict(matrix_fps),
     }
-    plane = get_plane()
-    tmp = state / (SERVICE_META + ".tmp")
     try:
-        with open(tmp, "wb", buffering=0) as handle:
-            plane.write(
-                handle, json.dumps(payload, indent=2).encode("utf-8")
-            )
-            plane.fsync(handle.fileno(), path=tmp)
-        _replace_durably(tmp, state / SERVICE_META)
+        write_json_document(state / SERVICE_META, payload)
     except OSError as exc:
         raise _storage_error(
             exc, f"{state}: service meta write failed"
@@ -1358,19 +1442,9 @@ def save_service_meta(state_dir, *, schema_fp: int, matrix_fps: Mapping) -> None
 
 def load_service_meta(state_dir) -> "dict | None":
     """The design fingerprints a state directory is pinned to, if any."""
-    path = Path(state_dir) / SERVICE_META
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(get_plane().read_bytes(path).decode("utf-8"))
-    except ValueError as exc:
-        raise ServiceError(f"{path}: corrupt service meta: {exc}") from None
-    except OSError as exc:
-        raise _storage_error(
-            exc, f"{path}: service meta read failed"
-        ) from exc
-    if payload.get("version") != _META_VERSION:
-        raise ServiceError(
-            f"unsupported service meta version {payload.get('version')!r}"
-        )
-    return payload
+    return read_json_document(
+        Path(state_dir) / SERVICE_META,
+        context="service meta",
+        version=_META_VERSION,
+        fields={"schema_fingerprint": int, "matrix_fingerprints": dict},
+    )

@@ -8,10 +8,9 @@ request surface, four layers deep:
   one CRC'd envelope around the existing wire frames plus JSON control
   messages, an incremental decoder, and the handshake/query
   validators. Unit-testable without a socket.
-* :mod:`repro.service.net.storage` — the storage connector seam
-  (:class:`StorageBackend`, :class:`LocalFSBackend`): where tenant and
-  client-stream state directories live and how the root/tenant design
-  pins are persisted.
+* :mod:`repro.service.net.storage` — :class:`LocalFSBackend`: where
+  tenant and client-stream state directories live, and the root/tenant
+  design pins.
 * :mod:`repro.service.net.tenants` — :class:`TenantManager`: lazily
   opened, LRU-bounded collector services, one per (tenant, client)
   stream, design-fingerprint pinning, per-tenant in-flight byte
@@ -47,7 +46,6 @@ from repro.service.net.server import (
 )
 from repro.service.net.storage import (
     LocalFSBackend,
-    StorageBackend,
     load_server_meta,
     load_tenant_meta,
     save_server_meta,
@@ -71,7 +69,6 @@ __all__ = [
     "ThreadedCollectorServer",
     "CollectorClient",
     "TenantManager",
-    "StorageBackend",
     "LocalFSBackend",
     "save_server_meta",
     "load_server_meta",

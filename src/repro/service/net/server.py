@@ -37,7 +37,6 @@ import contextlib
 import signal
 import struct
 import threading
-from pathlib import Path
 from typing import Dict, Optional, Set
 
 from repro.exceptions import (
@@ -247,7 +246,7 @@ class CollectorServer:
         """Server-level health document (validates against the schema)."""
         doc = {
             "version": HEALTH_VERSION,
-            "state_dir": str(getattr(self.manager.backend, "root", "")),
+            "state_dir": str(self.manager.backend.root),
             "server": {
                 "version": 1,
                 "connections": int(self._active),

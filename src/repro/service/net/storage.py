@@ -1,11 +1,9 @@
 """Storage connector seam for the multi-tenant collector server.
 
-The tenant manager never touches the filesystem directly: it resolves
-every tenant and client-stream state directory through a
-:class:`StorageBackend`. Today that is :class:`LocalFSBackend` — plain
-directories under one server root — but the seam is the abstraction
-the ROADMAP asks for: a journal living behind an object store or a
-database connector later only has to implement this surface.
+The tenant manager and the offline tools never build a tenant or
+client-stream path by hand: they resolve every one through
+:class:`LocalFSBackend` — plain directories under one server root —
+so the layout below is spelled out in exactly one class.
 
 On-disk layout of a server root (local FS backend)::
 
@@ -28,20 +26,20 @@ are additive and order-independent.
 
 from __future__ import annotations
 
-import json
-from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import List
 
-from repro.exceptions import HandshakeError, ServiceError
-from repro.faults.plane import get_plane
-from repro.service.journal import _replace_durably, _storage_error
+from repro.exceptions import HandshakeError
+from repro.service.journal import (
+    _storage_error,
+    read_json_document,
+    write_json_document,
+)
 from repro.service.net.protocol import valid_name
 
 __all__ = [
     "SERVER_META",
     "TENANT_META",
-    "StorageBackend",
     "LocalFSBackend",
     "save_server_meta",
     "load_server_meta",
@@ -59,29 +57,11 @@ _SERVER_META_VERSION = 1
 _TENANT_META_VERSION = 1
 
 
-def _write_json_durably(path: Path, payload: dict, *, context: str) -> None:
-    """The repo's durable small-JSON idiom: tmp + fsync + replace."""
-    plane = get_plane()
-    tmp = path.with_name(path.name + ".tmp")
+def _write_meta(path: Path, payload: dict, *, context: str) -> None:
     try:
-        with open(tmp, "wb", buffering=0) as handle:  # repro-lint: ignore[RPL302] -- JSON meta, not frame data
-            plane.write(handle, json.dumps(payload, indent=2).encode("utf-8"))
-            plane.fsync(handle.fileno(), path=tmp)
-        _replace_durably(tmp, path)
+        write_json_document(path, payload)
     except OSError as exc:
         raise _storage_error(exc, f"{path}: {context} write failed") from exc
-
-
-def _read_json(path: Path, *, context: str) -> "dict | None":
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(get_plane().read_bytes(path).decode("utf-8"))
-    except ValueError as exc:
-        raise ServiceError(f"{path}: corrupt {context}: {exc}") from None
-    except OSError as exc:
-        raise _storage_error(exc, f"{path}: {context} read failed") from exc
-    return payload
 
 
 def save_server_meta(root, *, payload: "dict | None" = None) -> None:
@@ -89,19 +69,16 @@ def save_server_meta(root, *, payload: "dict | None" = None) -> None:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     doc = {"version": _SERVER_META_VERSION, **(payload or {})}
-    _write_json_durably(root / SERVER_META, doc, context="server meta")
+    _write_meta(root / SERVER_META, doc, context="server meta")
 
 
 def load_server_meta(root) -> "dict | None":
     """The server-root marker document, if ``root`` is one."""
-    payload = _read_json(Path(root) / SERVER_META, context="server meta")
-    if payload is None:
-        return None
-    if payload.get("version") != _SERVER_META_VERSION:
-        raise ServiceError(
-            f"unsupported server meta version {payload.get('version')!r}"
-        )
-    return payload
+    return read_json_document(
+        Path(root) / SERVER_META,
+        context="server meta",
+        version=_SERVER_META_VERSION,
+    )
 
 
 def save_tenant_meta(
@@ -129,61 +106,45 @@ def save_tenant_meta(
         "schema_fingerprint": int(schema_fp),
         "design_fingerprint": str(design_fp),
     }
-    _write_json_durably(tenant_dir / TENANT_META, doc, context="tenant meta")
+    _write_meta(tenant_dir / TENANT_META, doc, context="tenant meta")
 
 
 def load_tenant_meta(tenant_dir) -> "dict | None":
     """The design pin of a tenant directory, if one exists."""
-    payload = _read_json(
-        Path(tenant_dir) / TENANT_META, context="tenant meta"
+    return read_json_document(
+        Path(tenant_dir) / TENANT_META,
+        context="tenant meta",
+        version=_TENANT_META_VERSION,
+        fields={
+            "tenant": str,
+            "protocol": str,
+            "schema_fingerprint": int,
+            "design_fingerprint": str,
+        },
     )
-    if payload is None:
-        return None
-    if payload.get("version") != _TENANT_META_VERSION:
-        raise ServiceError(
-            f"unsupported tenant meta version {payload.get('version')!r}"
-        )
-    return payload
 
 
-class StorageBackend(ABC):
-    """Where tenant and client-stream state lives.
+def _valid_subdirs(parent: Path) -> List[str]:
+    """Sorted names of ``parent``'s subdirectories that are legal names."""
+    if not parent.is_dir():
+        return []
+    return sorted(
+        entry.name
+        for entry in parent.iterdir()
+        if entry.is_dir() and valid_name(entry.name)
+    )
 
-    The tenant manager resolves every directory through this seam and
-    persists the root/tenant markers through it, so a backend that
-    stages state somewhere other than the local filesystem only has to
-    override this class. Methods that take names must reject anything
-    :func:`~repro.service.net.protocol.valid_name` refuses — the
-    backend is the last line against path traversal.
+
+class LocalFSBackend:
+    """Where tenant and client-stream state lives: plain directories
+    under one local server root.
+
+    Every method that takes a name rejects anything
+    :func:`~repro.service.net.protocol.valid_name` refuses — this class
+    is the last line against path traversal — and every listing skips
+    entries that are not legal names (staging or editor leftovers), so
+    the server, ``stats`` and ``scrub`` all see the same streams.
     """
-
-    @abstractmethod
-    def tenant_dir(self, tenant: str) -> Path:
-        """The state directory of ``tenant`` (not necessarily created)."""
-
-    @abstractmethod
-    def client_dir(self, tenant: str, client: str) -> Path:
-        """The collector state directory of one (tenant, client) stream."""
-
-    @abstractmethod
-    def list_tenants(self) -> List[str]:
-        """Tenant names with on-disk state, sorted."""
-
-    @abstractmethod
-    def list_clients(self, tenant: str) -> List[str]:
-        """Client-stream names of ``tenant`` with on-disk state, sorted."""
-
-    @abstractmethod
-    def load_server_meta(self) -> "dict | None":
-        """The root marker document, if the root is initialized."""
-
-    @abstractmethod
-    def save_server_meta(self, payload: "dict | None" = None) -> None:
-        """Initialize / refresh the root marker document, durably."""
-
-
-class LocalFSBackend(StorageBackend):
-    """Plain directories under one local server root."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -194,35 +155,32 @@ class LocalFSBackend(StorageBackend):
             raise HandshakeError(f"invalid {what} name {name!r}")
         return name
 
+    @staticmethod
+    def _clients_root(tenant_dir) -> Path:
+        return Path(tenant_dir) / "clients"
+
     def tenant_dir(self, tenant: str) -> Path:
         return self.root / "tenants" / self._checked(tenant, what="tenant")
 
     def client_dir(self, tenant: str, client: str) -> Path:
-        return (
-            self.tenant_dir(tenant)
-            / "clients"
-            / self._checked(client, what="client")
+        return self._clients_root(self.tenant_dir(tenant)) / self._checked(
+            client, what="client"
         )
 
     def list_tenants(self) -> List[str]:
-        tenants = self.root / "tenants"
-        if not tenants.is_dir():
-            return []
-        return sorted(
-            entry.name
-            for entry in tenants.iterdir()
-            if entry.is_dir() and valid_name(entry.name)
-        )
+        """Tenant names with on-disk state, sorted."""
+        return _valid_subdirs(self.root / "tenants")
 
     def list_clients(self, tenant: str) -> List[str]:
-        clients = self.tenant_dir(tenant) / "clients"
-        if not clients.is_dir():
-            return []
-        return sorted(
-            entry.name
-            for entry in clients.iterdir()
-            if entry.is_dir() and valid_name(entry.name)
-        )
+        """Client-stream names of ``tenant`` with on-disk state, sorted."""
+        return _valid_subdirs(self._clients_root(self.tenant_dir(tenant)))
+
+    @classmethod
+    def client_dirs(cls, tenant_dir) -> List[Path]:
+        """The state directory of every client stream of a tenant
+        directory, wherever that directory lives (offline tools)."""
+        clients = cls._clients_root(tenant_dir)
+        return [clients / name for name in _valid_subdirs(clients)]
 
     def load_server_meta(self) -> "dict | None":
         return load_server_meta(self.root)

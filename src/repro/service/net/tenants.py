@@ -2,7 +2,7 @@
 
 One server process multiplexes many *tenants* — independent collection
 campaigns, each pinned to one design document — onto per-tenant state
-directories resolved through a :class:`~repro.service.net.storage.StorageBackend`.
+directories resolved through a :class:`~repro.service.net.storage.LocalFSBackend`.
 Within a tenant, every *client stream* owns a whole collector service
 (its own journal, checkpoint, collector): single-writer streams are
 what make the ack's durable frame index exact, so a reconnecting
@@ -23,20 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.design import load_design
-from repro.engine.collector import ShardedCollector
 from repro.exceptions import HandshakeError, ServiceError
 from repro.obs.registry import MetricsRegistry
 from repro.service.net.storage import (
     LocalFSBackend,
-    StorageBackend,
     load_tenant_meta,
     save_tenant_meta,
 )
 from repro.service.pipeline import DEFAULT_BATCH_SIZE, CollectorService
-from repro.service.query import QueryFrontend
+from repro.service.query import QueryFrontend, merged_frontend
 from repro.service.shard import ShardedCollectorService
 
 __all__ = ["TenantManager", "DEFAULT_BUDGET_BYTES", "DEFAULT_MAX_TENANTS"]
@@ -49,6 +45,12 @@ DEFAULT_BUDGET_BYTES = 4 * 1024 * 1024
 #: Open-tenant LRU bound: tenants idle beyond it are checkpointed and
 #: closed; their state reopens lazily on the next session.
 DEFAULT_MAX_TENANTS = 16
+
+
+def _flushed_counts(service) -> dict:
+    """One stream's count vectors, pending records absorbed first."""
+    service.flush()
+    return service.collector.merged.snapshot_counts()
 
 
 def _refuse(code: str, message: str) -> HandshakeError:
@@ -73,8 +75,8 @@ class _TenantState:
     stalls: int = 0
     frames_ingested: int = 0
     last_used: int = 0
-    _query_frontend: "Optional[QueryFrontend]" = None
-    _query_key: "Optional[tuple]" = None
+    #: ``(count key, front-end)`` of the last merged query refresh.
+    merged: "Optional[tuple]" = None
 
 
 class TenantManager:
@@ -115,9 +117,9 @@ class TenantManager:
             raise ServiceError(f"budget_bytes must be >= 1, got {budget_bytes}")
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
-        self.backend: StorageBackend = (
+        self.backend = (
             backend
-            if isinstance(backend, StorageBackend)
+            if isinstance(backend, LocalFSBackend)
             else LocalFSBackend(backend)
         )
         self._designs = dict(designs)
@@ -264,8 +266,7 @@ class TenantManager:
                     pass  # degraded service: close still releases the lock
             service.close()
         state.services.clear()
-        state._query_frontend = None
-        state._query_key = None
+        state.merged = None
         del self._open[state.name]
         self._g_open.set(len(self._open))
 
@@ -362,31 +363,17 @@ class TenantManager:
         state = self.open_tenant(tenant)
         for client in self.backend.list_clients(tenant):
             self._open_service(state, client)
-        totals: Dict[str, np.ndarray] = {}
-        for client in sorted(state.services):
-            service = state.services[client]
-            service.flush()
-            for name, vector in service.collector.merged.snapshot_counts().items():
-                if name in totals:
-                    totals[name] = totals[name] + np.asarray(vector)
-                else:
-                    totals[name] = np.asarray(vector).copy()
-        key = tuple((name, totals[name].tobytes()) for name in sorted(totals))
-        if key != state._query_key or state._query_frontend is None:
-            layout = getattr(state.protocol, "collection", None)
-            merged = ShardedCollector(
-                layout.collection_schema(), state.protocol.matrices
-            )
-            merged.absorb_counts(totals)
-            state._query_frontend = QueryFrontend(
-                merged,
-                layout=layout,
-                metrics=state.metrics.child()
-                if state.metrics.enabled
-                else None,
-            )
-            state._query_key = key
-        return state._query_frontend
+        state.merged = merged_frontend(
+            (
+                _flushed_counts(state.services[client])
+                for client in sorted(state.services)
+            ),
+            layout=state.protocol.collection,
+            matrices=state.protocol.matrices,
+            metrics=state.metrics,
+            current=state.merged,
+        )
+        return state.merged[1]
 
     # ------------------------------------------------------------------
     # Health / lifecycle

@@ -34,11 +34,6 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, List, Mapping
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
 import numpy as np
 
 from repro.data.schema import Schema
@@ -65,6 +60,7 @@ from repro.service.journal import (
     LOG_NAME,
     SHARDING_META,
     RetryPolicy,
+    acquire_state_lock,
     load_checkpoint,
     load_service_meta,
     save_checkpoint,
@@ -264,8 +260,11 @@ class CollectorService:
             )
         self._state_dir = Path(state_dir)
         self._state_dir.mkdir(parents=True, exist_ok=True)
-        self._lock_handle = None
-        self._acquire_lock()
+        self._lock_handle = acquire_state_lock(
+            self._state_dir,
+            "is locked by another collector process; a second writer "
+            "would corrupt the ingestion log",
+        )
         if (self._state_dir / SHARDING_META).exists():
             self._release_lock()
             raise ServiceError(
@@ -401,30 +400,6 @@ class CollectorService:
             metrics=metrics,
             retry=retry,
         )
-
-    def _acquire_lock(self) -> None:
-        """Take an exclusive advisory lock on the state directory.
-
-        Two live services over one directory would interleave appends
-        into the same write-ahead log and silently double-count on the
-        next recovery — turned into a clean refusal here. Held for the
-        service's lifetime; released by :meth:`close` (or the OS when
-        a crashed process dies).
-        """
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            return
-        # An flock target, not frame data: nothing is ever written to
-        # it, so FrameWriter's prefix/CRC discipline does not apply.
-        handle = open(self._state_dir / "state.lock", "wb")  # repro-lint: ignore[RPL302]
-        try:
-            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            handle.close()
-            raise ServiceError(
-                f"{self._state_dir} is locked by another collector "
-                "process; a second writer would corrupt the ingestion log"
-            ) from None
-        self._lock_handle = handle
 
     def _release_lock(self) -> None:
         if self._lock_handle is not None:

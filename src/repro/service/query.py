@@ -30,12 +30,18 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.analysis.queries import PairQuery
+from repro.engine.collector import ShardedCollector
 from repro.exceptions import ServiceError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import trace
 from repro.protocols.base import CollectionLayout
 
-__all__ = ["QueryFrontend", "DEFAULT_CACHE_ENTRIES", "DEFAULT_CACHE_BYTES"]
+__all__ = [
+    "QueryFrontend",
+    "merged_frontend",
+    "DEFAULT_CACHE_ENTRIES",
+    "DEFAULT_CACHE_BYTES",
+]
 
 DEFAULT_CACHE_ENTRIES = 256
 
@@ -374,3 +380,37 @@ class QueryFrontend:
             f"QueryFrontend(entries={stats['entries']}, "
             f"hits={stats['hits']}, misses={stats['misses']})"
         )
+
+
+def merged_frontend(
+    count_maps, *, layout: CollectionLayout, matrices, metrics, current=None
+) -> "tuple[tuple, QueryFrontend]":
+    """A front-end over the sum of several streams' count vectors.
+
+    ``count_maps`` yields one ``{attribute: counts}`` mapping per
+    stream (shard or client). Randomized-response counts are additive
+    and order-independent, so the sum is what one collector fed every
+    frame would hold. Returns ``(key, front-end)``, keyed on the raw
+    bytes of the summed vectors: pass the previous pair back as
+    ``current`` and it is returned unchanged while the counts stand
+    still, so the front-end and its answer cache are rebuilt only when
+    the merged counts move.
+    """
+    totals = {}
+    for counts in count_maps:
+        for name, vector in counts.items():
+            if name in totals:
+                totals[name] = totals[name] + np.asarray(vector)
+            else:
+                totals[name] = np.asarray(vector).copy()
+    key = tuple((name, totals[name].tobytes()) for name in sorted(totals))
+    if current is not None and current[0] == key:
+        return current
+    merged = ShardedCollector(layout.collection_schema(), matrices)
+    merged.absorb_counts(totals)
+    frontend = QueryFrontend(
+        merged,
+        layout=layout,
+        metrics=metrics.child() if metrics.enabled else None,
+    )
+    return key, frontend

@@ -36,21 +36,20 @@ from pathlib import Path
 
 from repro.exceptions import ServiceError
 from repro.service.codec import _HEADER, _TRAILER, MAGIC, WIRE_VERSION
+from repro.service.health import StateNode, walk_state_dir
 from repro.service.journal import (
     CHECKPOINT_JSON,
     CHECKPOINT_NPZ,
     LOG_NAME,
     QUARANTINE_SUFFIX,
-    SERVICE_META,
     _iter_entries,
     _load_manifest,
-    _manifest_path,
     _segment_path,
+    _tmp_files,
     _TornTail,
     load_checkpoint,
     load_service_meta,
 )
-from repro.service.shard import load_sharding_meta, shard_dir
 
 __all__ = ["scrub_state_dir", "verify_frame_envelope"]
 
@@ -210,40 +209,48 @@ def scrub_state_dir(state_dir) -> dict:
     directory (``tenant.json``) recurses the same way: every client
     stream's state directory is scrubbed as its own collector, and
     ``ok`` is True iff every stream verified.
+
+    An unreadable pin document or manifest is damage too: the report
+    comes back ``ok: False`` with an error naming the file.
     """
     state = Path(state_dir)
     if not state.is_dir():
         raise ServiceError(f"{state}: not a state directory")
-    # Imported here (not at module top) to keep the scrub module free
-    # of the network package at import time — scrub is the one tool
-    # operators run on machines that never serve.
-    from repro.service.net.storage import load_server_meta, load_tenant_meta
-
-    if load_server_meta(state) is not None:
-        return _scrub_server_root(state)
-    if load_tenant_meta(state) is not None:
-        return _scrub_tenant_dir(state)
-    meta = load_sharding_meta(state)
-    if meta is not None:
-        return _scrub_sharded_root(state, meta)
-    return _scrub_flat_dir(state)
+    try:
+        node = walk_state_dir(state)
+    except ServiceError as exc:
+        return _refused(state, [str(exc)])
+    return _scrub_node(node)
 
 
-def _scrub_tenant_dir(state: Path) -> dict:
+def _refused(state: Path, errors: list) -> dict:
+    """The report of a directory whose layout could not be read."""
+    return {
+        "state_dir": str(state),
+        "ok": False,
+        "errors": errors,
+        "warnings": [],
+    }
+
+
+def _scrub_node(node: StateNode) -> dict:
+    if node.kind == "server":
+        return _scrub_server_root(node)
+    if node.kind == "tenant":
+        return _scrub_tenant_dir(node)
+    if node.kind == "sharded":
+        return _scrub_sharded_root(node)
+    return _scrub_flat_dir(node.path)
+
+
+def _scrub_tenant_dir(node: StateNode) -> dict:
     """Scrub every client stream of one tenant directory."""
-    from repro.service.net.storage import load_tenant_meta
-
-    pin = load_tenant_meta(state)
+    pin = node.pin
     errors = []
     clients = {}
-    clients_root = state / "clients"
-    names = (
-        sorted(e.name for e in clients_root.iterdir() if e.is_dir())
-        if clients_root.is_dir()
-        else []
-    )
-    for name in names:
-        report = scrub_state_dir(clients_root / name)
+    for client in node.children:
+        name = client.name
+        report = _scrub_node(client)
         clients[name] = report
         errors.extend(f"client {name}: {m}" for m in report["errors"])
         # The tenant pin and each stream's own design pin must agree:
@@ -257,7 +264,7 @@ def _scrub_tenant_dir(state: Path) -> dict:
                     f"tenant pinned to {pin['schema_fingerprint']}"
                 )
     return {
-        "state_dir": str(state),
+        "state_dir": str(node.path),
         "ok": not errors,
         "errors": errors,
         "warnings": [],
@@ -266,19 +273,16 @@ def _scrub_tenant_dir(state: Path) -> dict:
     }
 
 
-def _scrub_server_root(state: Path) -> dict:
+def _scrub_server_root(node: StateNode) -> dict:
     """Scrub every tenant (and every client stream) of a server root."""
-    from repro.service.net.storage import LocalFSBackend
-
-    backend = LocalFSBackend(state)
     errors = []
     tenants = {}
-    for tenant in backend.list_tenants():
-        report = _scrub_tenant_dir(backend.tenant_dir(tenant))
-        tenants[tenant] = report
-        errors.extend(f"tenant {tenant}: {m}" for m in report["errors"])
+    for tenant in node.children:
+        report = _scrub_tenant_dir(tenant)
+        tenants[tenant.name] = report
+        errors.extend(f"tenant {tenant.name}: {m}" for m in report["errors"])
     return {
-        "state_dir": str(state),
+        "state_dir": str(node.path),
         "ok": not errors,
         "errors": errors,
         "warnings": [],
@@ -286,8 +290,9 @@ def _scrub_server_root(state: Path) -> dict:
     }
 
 
-def _scrub_sharded_root(state: Path, meta: dict) -> dict:
+def _scrub_sharded_root(node: StateNode) -> dict:
     """Per-shard + merged scrub of a sharded root directory."""
+    meta = node.pin
     workers = int(meta["workers"])
     errors = []
     shards = {}
@@ -299,22 +304,22 @@ def _scrub_sharded_root(state: Path, meta: dict) -> dict:
     }
     checkpoints_present = 0
     frames_at_checkpoint = 0
-    for worker_id in range(workers):
-        subdir = shard_dir(state, worker_id)
-        key = f"{worker_id:02d}"
-        if not subdir.is_dir():
+    for shard in node.children:
+        if shard.kind == "absent":
             # Never-spawned shards are fine on a fresh fleet; only a
             # root that has *some* state but a hole is suspicious, and
             # the per-shard checkpoint/log bounds catch real loss —
             # report the absence, don't fail on it.
-            shards[key] = {"state_dir": str(subdir), "present": False}
+            shards[shard.name] = {"state_dir": str(shard.path), "present": False}
             continue
-        report = _scrub_flat_dir(subdir)
+        report = _scrub_flat_dir(shard.path)
         report["present"] = True
-        shards[key] = report
+        shards[shard.name] = report
         errors.extend(
-            f"shard {worker_id}: {message}" for message in report["errors"]
+            f"shard {int(shard.name)}: {message}" for message in report["errors"]
         )
+        if "journal" not in report:
+            continue  # the shard's manifest was unreadable
         for field in merged:
             merged[field] += int(report["journal"][field])
         if report["checkpoint"]["present"]:
@@ -323,7 +328,7 @@ def _scrub_sharded_root(state: Path, meta: dict) -> dict:
                 report["checkpoint"]["frames_applied"] or 0
             )
     return {
-        "state_dir": str(state),
+        "state_dir": str(node.path),
         "ok": not errors,
         "errors": errors,
         "warnings": [],
@@ -352,7 +357,10 @@ def _scrub_flat_dir(state: Path) -> dict:
         errors.append(f"service meta: {exc}")
     schema_fp = None if meta is None else int(meta["schema_fingerprint"])
     base = state / LOG_NAME
-    sealed, active_seq, active_base, quarantined = _load_manifest(base)
+    try:
+        sealed, active_seq, active_base, quarantined = _load_manifest(base)
+    except ServiceError as exc:
+        return _refused(state, [*errors, f"manifest: {exc}"])
     segments_report = []
     scanned_frames = 0
     scanned_bytes = 0
@@ -426,14 +434,7 @@ def _scrub_flat_dir(state: Path) -> dict:
     )
     errors.extend(checkpoint_errors)
     tmp_files = sorted(
-        candidate.name
-        for candidate in (
-            _manifest_path(base).with_name(_manifest_path(base).name + ".tmp"),
-            state / (CHECKPOINT_NPZ + ".tmp"),
-            state / (CHECKPOINT_JSON + ".tmp"),
-            state / (SERVICE_META + ".tmp"),
-        )
-        if candidate.exists()
+        candidate.name for candidate in _tmp_files(base) if candidate.exists()
     )
     for name in tmp_files:
         warnings.append(

@@ -52,7 +52,6 @@ byte-comparable under the routing they were written with.
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, List
@@ -61,7 +60,6 @@ import numpy as np
 
 from repro.engine.collector import ShardedCollector
 from repro.exceptions import ReproError, ServiceError, ShardFailedError
-from repro.faults.plane import get_plane
 from repro.obs import clock
 from repro.obs.health import HEALTH_VERSION
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -74,12 +72,14 @@ from repro.service.journal import (
     SHARDING_META,
     RetryPolicy,
     _mix64,
-    _replace_durably,
     _storage_error,
+    acquire_state_lock,
     log_exists,
+    read_json_document,
+    write_json_document,
 )
 from repro.service.pipeline import DEFAULT_BATCH_SIZE
-from repro.service.query import QueryFrontend
+from repro.service.query import QueryFrontend, merged_frontend
 from repro.service.supervisor import (
     DEFAULT_DEADLINE_SECONDS,
     DEFAULT_HEARTBEAT_SECONDS,
@@ -89,11 +89,6 @@ from repro.service.supervisor import (
     WorkerSpec,
     _WorkerDied,
 )
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 __all__ = [
     "ShardedCollectorService",
@@ -137,34 +132,20 @@ def save_sharding_meta(state_dir, *, workers: int, schema_fp: int) -> None:
         "router": ROUTER_NAME,
         "schema_fingerprint": int(schema_fp),
     }
-    plane = get_plane()
-    tmp = state / (SHARDING_META + ".tmp")
     try:
-        with open(tmp, "wb", buffering=0) as handle:  # repro-lint: ignore[RPL302]
-            plane.write(handle, json.dumps(payload, indent=2).encode("utf-8"))
-            plane.fsync(handle.fileno(), path=tmp)
-        _replace_durably(tmp, state / SHARDING_META)
+        write_json_document(state / SHARDING_META, payload)
     except OSError as exc:
         raise _storage_error(exc, f"{state}: sharding meta write failed") from exc
 
 
 def load_sharding_meta(state_dir) -> "dict | None":
     """The topology a root directory is pinned to, if it is sharded."""
-    path = Path(state_dir) / SHARDING_META
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(get_plane().read_bytes(path).decode("utf-8"))
-    except ValueError as exc:
-        raise ServiceError(f"{path}: corrupt sharding meta: {exc}") from None
-    except OSError as exc:
-        raise _storage_error(exc, f"{path}: sharding meta read failed") from exc
-    if not isinstance(payload, dict) or payload.get("version") != _SHARDING_VERSION:
-        raise ServiceError(
-            f"{path}: unsupported sharding meta version "
-            f"{payload.get('version') if isinstance(payload, dict) else payload!r}"
-        )
-    return payload
+    return read_json_document(
+        Path(state_dir) / SHARDING_META,
+        context="sharding meta",
+        version=_SHARDING_VERSION,
+        fields={"workers": int, "router": str, "schema_fingerprint": int},
+    )
 
 
 class ShardedCollectorService:
@@ -215,8 +196,13 @@ class ShardedCollectorService:
         self._matrices = matrices
         self._schema_fp = schema_fingerprint(schema)
         self._queue_frames = int(queue_frames)
-        self._lock_handle = None
-        self._acquire_lock()
+        # Workers hold their own per-shard locks; this one stops two
+        # *parents* from routing into the same fleet.
+        self._lock_handle = acquire_state_lock(
+            self._state_dir,
+            "is locked by another sharded collector process; a second "
+            "router would interleave frame indices",
+        )
         try:
             self._check_or_pin_topology()
         except ReproError:
@@ -264,9 +250,9 @@ class ShardedCollectorService:
         #: reopened service routes exactly like the original).
         self._route_index = sum(h.frames_acked for h in self._handles)
         self._verified: Dict[int, int] = {}
-        self._query_frontend: "QueryFrontend | None" = None
-        self._query_key = None
-        self._merged: "ShardedCollector | None" = None
+        #: ``(count key, front-end)`` of the last merge (see
+        #: :func:`~repro.service.query.merged_frontend`).
+        self._merged: "tuple | None" = None
         self._opened_at = clock.monotonic()
         self._closed = False
 
@@ -289,25 +275,6 @@ class ShardedCollectorService:
         )
 
     # ------------------------------------------------------------------
-    def _acquire_lock(self) -> None:
-        """Exclusive advisory lock on the sharded root (parent-level).
-
-        Workers additionally hold their own per-shard locks; this one
-        stops two *parents* from routing into the same fleet.
-        """
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            return
-        handle = open(self._state_dir / "state.lock", "wb")  # repro-lint: ignore[RPL302]
-        try:
-            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            handle.close()
-            raise ServiceError(
-                f"{self._state_dir} is locked by another sharded collector "
-                "process; a second router would interleave frame indices"
-            ) from None
-        self._lock_handle = handle
-
     def _release_lock(self) -> None:
         if self._lock_handle is not None:
             self._lock_handle.close()
@@ -632,31 +599,14 @@ class ShardedCollectorService:
 
     def _refresh_queries(self) -> QueryFrontend:
         snapshots = self._gather()
-        # Merge-key on the raw count bytes: the frontend (and its
-        # cache) is rebuilt only when the merged counts changed.
-        totals: Dict[str, np.ndarray] = {}
-        for worker_id in sorted(snapshots):
-            for name, vector in snapshots[worker_id]["counts"].items():
-                if name in totals:
-                    totals[name] = totals[name] + np.asarray(vector)
-                else:
-                    totals[name] = np.asarray(vector).copy()
-        key = tuple(
-            (name, totals[name].tobytes()) for name in sorted(totals)
+        self._merged = merged_frontend(
+            (snapshots[worker_id]["counts"] for worker_id in sorted(snapshots)),
+            layout=self._layout,
+            matrices=self._matrices,
+            metrics=self._metrics,
+            current=self._merged,
         )
-        if key != self._query_key or self._query_frontend is None:
-            merged = ShardedCollector(
-                self._layout.collection_schema(), self._matrices
-            )
-            merged.absorb_counts(totals)
-            self._merged = merged
-            self._query_frontend = QueryFrontend(
-                merged,
-                layout=self._layout,
-                metrics=self._metrics.child() if self._metrics.enabled else None,
-            )
-            self._query_key = key
-        return self._query_frontend
+        return self._merged[1]
 
     @property
     def queries(self) -> QueryFrontend:
@@ -668,8 +618,7 @@ class ShardedCollectorService:
     def collector(self) -> ShardedCollector:
         """Merged collector over the current fleet state."""
         self._ensure_open()
-        self._refresh_queries()
-        return self._merged
+        return self._refresh_queries().collector
 
     @property
     def n_observed(self) -> int:

@@ -7,7 +7,6 @@ from repro.service.net.storage import (
     SERVER_META,
     TENANT_META,
     LocalFSBackend,
-    StorageBackend,
     load_server_meta,
     load_tenant_meta,
     save_server_meta,
@@ -16,9 +15,6 @@ from repro.service.net.storage import (
 
 
 class TestLocalFSLayout:
-    def test_is_a_storage_backend(self, tmp_path):
-        assert isinstance(LocalFSBackend(tmp_path), StorageBackend)
-
     def test_tenant_and_client_dirs_nest_under_root(self, tmp_path):
         backend = LocalFSBackend(tmp_path / "root")
         tenant_dir = backend.tenant_dir("acme")
@@ -78,3 +74,41 @@ class TestMetaRoundTrips:
         assert backend.load_server_meta() is None
         backend.save_server_meta({"tenants": []})
         assert backend.load_server_meta()["version"] == 1
+
+
+class TestSameStreamsOfflineAndOnline:
+    def test_stray_staging_dir_is_not_a_stream(
+        self, independent, small_dataset, tmp_path
+    ):
+        """A ``clients/.partial/`` leftover is not a legal client name:
+        the server never opens it, so ``stats`` must not count it,
+        ``scrub`` must not fail it, and queries must not merge it."""
+        from repro.service.codec import ReportCodec
+        from repro.service.health import storage_health
+        from repro.service.net.tenants import TenantManager
+        from repro.service.scrub import scrub_state_dir
+
+        codec = ReportCodec(independent.schema)
+        released = independent.randomize(small_dataset, rng=3)
+        designs = {"acme": (independent, independent.to_design())}
+        manager = TenantManager(tmp_path / "root", designs)
+        state = manager.open_tenant("acme")
+        service, _ = manager.open_session(
+            "acme", "p1", schema_fp=state.schema_fp, design_fp=state.design_fp
+        )
+        service.ingest([codec.encode(released.codes[:20])])
+        manager.close_all(checkpoint=True)
+        manager.backend.save_server_meta({"tenants": ["acme"]})
+        stray = manager.backend.client_dir("acme", "p1").parent / ".partial"
+        stray.mkdir()
+        (stray / "ingest.log").write_bytes(b"\xff" * 16)
+
+        health = storage_health(manager.backend.root)
+        assert list(health["tenants"]["acme"]["clients"]) == ["p1"]
+        report = scrub_state_dir(manager.backend.root)
+        assert report["ok"], report["errors"]
+        assert list(report["tenants"]["acme"]["clients"]) == ["p1"]
+        reopened = TenantManager(tmp_path / "root", designs)
+        reopened.queries("acme")
+        assert list(reopened.open_tenant("acme").services) == ["p1"]
+        reopened.close_all(checkpoint=False)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.protocols.joint import RRJoint
-from repro.protocols.independent import RRIndependent
 
 
 def _sole_deprecation(record):
@@ -70,44 +69,3 @@ class TestJointShims:
             protocol.estimate_set_frequency(released, cells)
         warning = _assert_blames_caller(record)
         assert "names, cells" in str(warning.message)
-
-
-class TestServiceCliShims:
-    def test_load_design_blames_caller(self, tmp_path, small_schema):
-        from repro.design import write_design
-        from repro.service import cli as service_cli
-
-        path = tmp_path / "design.json"
-        write_design(path, RRIndependent(small_schema, p=0.7), None)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            protocol, payload = service_cli.load_design(path)
-        warning = _assert_blames_caller(record)
-        assert "repro.design.load_design" in str(warning.message)
-        assert payload["p"] == 0.7
-
-    def test_write_design_blames_caller(self, tmp_path, small_schema):
-        from repro.service import cli as service_cli
-
-        path = tmp_path / "design.json"
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            service_cli.write_design(
-                path, RRIndependent(small_schema, p=0.7)
-            )
-        warning = _assert_blames_caller(record)
-        assert "repro.design.write_design" in str(warning.message)
-
-    def test_write_design_legacy_p_blames_caller(
-        self, tmp_path, small_schema
-    ):
-        from repro.service import cli as service_cli
-
-        path = tmp_path / "design.json"
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            service_cli.write_design(
-                path, RRIndependent(small_schema, p=0.7), 0.7
-            )
-        warning = _assert_blames_caller(record)
-        assert "ignored" in str(warning.message)

@@ -93,7 +93,6 @@ SERVICE_ALL = [
     "ThreadedCollectorServer",
     "CollectorClient",
     "TenantManager",
-    "StorageBackend",
     "LocalFSBackend",
 ]
 
